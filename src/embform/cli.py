@@ -53,10 +53,15 @@ from .pwl2d import (
 from .sos2 import Formulation, build_sos2
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_MALFORMED = 2
 EXIT_BUDGET = 3
 EXIT_ENCODING = 4
 EXIT_VERIFY = 5
+
+# ``sos2 build`` refuses larger n before building anything: the system has
+# (n + 1 + k)-wide rows and unary(128) alone takes about 20 s to build.
+SOS2_MAX_N = 128
 
 
 class VerificationFailure(RuntimeError):
@@ -105,6 +110,8 @@ def _sos2_family(n: int) -> list[VRep]:
 
 
 def _cmd_sos2_build(args) -> int:
+    if args.n > SOS2_MAX_N:
+        raise BudgetError(f"sos2 build refused for n={args.n} (budget is n <= {SOS2_MAX_N})")
     encoding = _load_encoding(args.encoding, args.n)
     formulation, report = build_sos2(encoding)
     if args.report:
@@ -255,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sos2 = sub.add_parser("sos2", help="selection-constraint systems")
     sos2_sub = sos2.add_subparsers(dest="subcommand", required=True)
     b = sos2_sub.add_parser("build", help="construct a tight system")
-    b.add_argument("--n", type=int, required=True)
+    b.add_argument("--n", type=int, required=True, help=f"intervals, at most {SOS2_MAX_N}")
     b.add_argument(
         "--encoding",
         required=True,
@@ -330,6 +337,11 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         print(f"error:{EXIT_VERIFY}:{exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except Exception as exc:
+        # the documented last resort: one error line, never a traceback
+        message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        print(f"error:{EXIT_INTERNAL}:{message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

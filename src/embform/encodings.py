@@ -19,7 +19,6 @@ named families used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log2
 
 from .ratlin import Vec, canonical_normal, is_zero, rank, vec_sub
 
@@ -29,7 +28,8 @@ class EncodingError(ValueError):
 
 
 def _min_bits(n: int) -> int:
-    return 0 if n <= 1 else ceil(log2(n))
+    """Smallest k with 2^k >= n, in exact integer arithmetic."""
+    return 0 if n <= 1 else (n - 1).bit_length()
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
 
-from .encodings import Encoding, _MASK64, antigray, geometry, random_binary
+from .encodings import Encoding, _MASK64, _min_bits, antigray, geometry, random_binary
 from .ratlin import canonical_normal, nullspace_basis, rank
 from .sos2 import bound_index_set, spanned_hyperplanes
 
@@ -57,14 +57,40 @@ def size_g(encoding: Encoding) -> int:
     return 2 * len(spanned_hyperplanes(geometry(encoding)))
 
 
-def size_total(encoding: Encoding) -> int:
-    """Full facet-count size: general rows, bounds, equations twice."""
-    geom = geometry(encoding)
-    return (
-        2 * len(spanned_hyperplanes(geom))
-        + len(bound_index_set(geom))
-        + 2 * (1 + encoding.k - geom.dim_h)
-    )
+def _direction_bits(k: int) -> list[list[int]]:
+    """One bit per canonical difference direction of a pair of cube points.
+
+    Entry [a][b] is the bit of the canonical direction of b - a, for cube
+    points given as k-bit integers (bit j is coordinate j).  A direction
+    is fixed by the mask m of differing bits and the values on m of the
+    endpoint that has a 0 at the lowest bit of m, so a - b maps to the same
+    bit.  OR-ing the bits of consecutive pairs packs an encoding's
+    direction set into one int.
+    """
+    table = []
+    for a in range(1 << k):
+        row = []
+        for b in range(1 << k):
+            m = a ^ b
+            low = b if a & (m & -m) else a
+            row.append(1 << ((m << k) | (low & m)))
+        table.append(row)
+    return table
+
+
+def _memo_size_g(memo: dict, bits: list[list[int]], cube, perm) -> int:
+    """size_G of the encoding listing ``cube[i]`` for i in ``perm``.
+
+    size_G depends only on the set of canonical difference directions, so
+    the result is kept in ``memo`` under that set, packed by ``bits``.
+    """
+    key = 0
+    for a, b in zip(perm, perm[1:]):
+        key |= bits[a][b]
+    sg = memo.get(key)
+    if sg is None:
+        sg = memo[key] = size_g(Encoding(tuple(cube[i] for i in perm)))
+    return sg
 
 
 def _summarize(n, k, mode, seed, samples) -> ScanResult:
@@ -99,11 +125,13 @@ def scan_binary_encodings(
     """size_G across permutations of {0,1}^k.
 
     Exhaustive mode enumerates the (2^k)! orderings in lexicographic
-    order of the permuted cube and is refused for k >= 4; sample mode
-    draws ``count`` encodings, sample i being random_binary(n, seed + i),
-    so any row of the output can be reproduced standalone.  Sampling at
-    k in {5, 6} costs seconds to minutes per encoding and must be opted
-    into with ``long_run``; larger widths are refused outright.
+    order of the permuted cube and is refused for k >= 4; it sizes each
+    distinct direction set once (2,595 for the 40,320 orderings at k = 3,
+    about a second in all).  Sample mode draws ``count`` encodings,
+    sample i being random_binary(n, seed + i), so any row of the output
+    can be reproduced standalone.  Sampling at k = 5 costs about a tenth
+    of a second per encoding and at k = 6 tens of seconds; both must be
+    opted into with ``long_run``; larger widths are refused outright.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -111,7 +139,8 @@ def scan_binary_encodings(
         raise ScanBudgetError(f"scans at k={k} are beyond the desk-scale budget")
     if k >= 5 and not long_run:
         raise ScanBudgetError(
-            f"sampling at k={k} needs the long-run flag (minutes per batch)"
+            f"sampling at k={k} needs the long-run flag "
+            "(about 0.1 s per encoding at k=5, tens of seconds at k=6)"
         )
     n = 2 ** k
     if mode == "exhaustive":
@@ -120,9 +149,12 @@ def scan_binary_encodings(
                 f"exhaustive scan at k={k} means {n}! encodings; refused (k <= 3 only)"
             )
         cube = [tuple((v >> j) & 1 for j in range(k)) for v in range(n)]
-        samples = []
-        for i, perm in enumerate(permutations(cube)):
-            samples.append((i, size_g(Encoding(perm))))
+        memo: dict[int, int] = {}
+        bits = _direction_bits(k)
+        samples = [
+            (i, _memo_size_g(memo, bits, cube, perm))
+            for i, perm in enumerate(permutations(range(n)))
+        ]
         return _summarize(n, k, mode, None, samples)
     if mode == "sample":
         if count < 1:
@@ -205,13 +237,6 @@ class MmcResult:
     encodings_seen: int
 
 
-def _min_bits(n: int) -> int:
-    k = 0
-    while (1 << k) < n:
-        k += 1
-    return k
-
-
 def exhaustive_mmc(n: int, k_max: int) -> MmcResult:
     """Exact minima of size_G and size over all encodings with k <= k_max.
 
@@ -236,11 +261,13 @@ def exhaustive_mmc(n: int, k_max: int) -> MmcResult:
     seen = 0
     for k in range(k_lo, k_max + 1):
         cube = [tuple((v >> j) & 1 for j in range(k)) for v in range(2 ** k)]
-        for perm in permutations(cube, n):
+        memo: dict[int, int] = {}
+        bits = _direction_bits(k)
+        for perm in permutations(range(2 ** k), n):
             seen += 1
-            enc = Encoding(perm)
+            sg = _memo_size_g(memo, bits, cube, perm)
+            enc = Encoding(tuple(cube[i] for i in perm))
             geom = geometry(enc)
-            sg = 2 * len(spanned_hyperplanes(geom))
             size = sg + len(bound_index_set(geom)) + 2 * (1 + k - geom.dim_h)
             if best_g is None or sg < best_g:
                 best_g, argmin_g = sg, [enc]

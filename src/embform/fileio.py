@@ -52,10 +52,19 @@ def _frac_str(x) -> str:
 
 
 def _parse_frac(token: str, where: str) -> Fraction:
+    if isinstance(token, float):
+        raise FormatError(f"{where}: {token!r} is a float; write rationals as 'p/q'")
     try:
         return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"{where}: bad rational {token!r}") from exc
+
+
+def _json_int(value) -> int:
+    """A JSON integer as is; a float, string or boolean raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +86,7 @@ def encoding_from_json(text: str) -> Encoding:
     except json.JSONDecodeError as exc:
         raise FormatError(f"encoding JSON: {exc}") from exc
     try:
-        vectors = tuple(tuple(int(b) for b in v) for v in doc["vectors"])
+        vectors = tuple(tuple(_json_int(b) for b in v) for v in doc["vectors"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("encoding JSON: missing or malformed 'vectors'") from exc
     enc = Encoding(vectors)
@@ -120,9 +129,13 @@ def formulation_from_json(text: str) -> Formulation:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"formulation JSON: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError("formulation JSON: expected an object")
     for key in ("var_names", "equations", "inequalities", "integer_vars"):
         if key not in doc:
             raise FormatError(f"formulation JSON: missing {key!r}")
+        if not isinstance(doc[key], list):
+            raise FormatError(f"formulation JSON: {key!r} must be a list")
     names = tuple(str(v) for v in doc["var_names"])
     if len(set(names)) != len(names):
         raise FormatError("formulation JSON: duplicate variable name")
@@ -130,9 +143,9 @@ def formulation_from_json(text: str) -> Formulation:
     def rows(items, what):
         out = []
         for i, item in enumerate(items):
-            coeffs = tuple(
-                _parse_frac(c, f"{what}[{i}]") for c in item.get("coeffs", ())
-            )
+            if not isinstance(item, dict) or not isinstance(item.get("coeffs"), list):
+                raise FormatError(f"{what}[{i}]: expected an object with a 'coeffs' list")
+            coeffs = tuple(_parse_frac(c, f"{what}[{i}]") for c in item["coeffs"])
             if len(coeffs) != len(names):
                 raise FormatError(f"{what}[{i}]: expected {len(names)} coefficients")
             out.append((coeffs, _parse_frac(item.get("rhs", "0"), f"{what}[{i}]")))
@@ -141,12 +154,15 @@ def formulation_from_json(text: str) -> Formulation:
     system = LinearSystem(
         names, rows(doc["equations"], "equations"), rows(doc["inequalities"], "inequalities")
     )
-    return Formulation(
-        system=system,
-        integer_vars=tuple(str(v) for v in doc["integer_vars"]),
-        name=str(doc.get("name", "")),
-        ideal=doc.get("ideal"),
-    )
+    try:
+        return Formulation(
+            system=system,
+            integer_vars=tuple(str(v) for v in doc["integer_vars"]),
+            name=str(doc.get("name", "")),
+            ideal=doc.get("ideal"),
+        )
+    except ValueError as exc:
+        raise FormatError(f"formulation JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +184,9 @@ def triangulation_from_json(text: str) -> GridTriangulation:
         raise FormatError(f"triangulation JSON: {exc}") from exc
     try:
         triangles = tuple(
-            tuple(sorted((int(u), int(v)) for u, v in t)) for t in doc["triangles"]
+            tuple(sorted((_json_int(u), _json_int(v)) for u, v in t)) for t in doc["triangles"]
         )
-        m = int(doc["m"])
+        m = _json_int(doc["m"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("triangulation JSON: malformed document") from exc
     try:

@@ -32,6 +32,7 @@ from .ratlin import (
     nullspace_basis,
     rref,
     scale_primitive,
+    unit_vectors,
     vec_sub,
 )
 
@@ -74,9 +75,6 @@ class HRep:
         for coeffs, _ in (*self.equations, *self.inequalities):
             return len(coeffs)
         return 0
-
-
-EMPTY_HREP_MARKER: Row = ((), Fraction(-1))
 
 
 def _deadline() -> float | None:
@@ -140,9 +138,7 @@ def dual_description(
     disagreement (impossible for a correct implementation) raises.
     """
     rows = [tuple(r) for r in rows]
-    lineality: list[tuple] = [
-        tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
-    ]
+    lineality = unit_vectors(dim)
     ray_vecs: list[tuple] = []
     ray_tight: list[int] = []
 
@@ -254,7 +250,7 @@ def vrep_to_hrep(vrep: VRep) -> HRep:
     v0 = vertices[0]
     directions = [vec_sub(v, v0) for v in vertices[1:]] + list(rays)
 
-    normals = nullspace_basis(directions) if directions else _identity(dim)
+    normals = nullspace_basis(directions) if directions else unit_vectors(dim)
     equations = tuple(
         (g, Fraction(dot(g, v0))) for g in sorted(normals)
     )
@@ -341,10 +337,6 @@ def _rebound(equations, inequalities, dim: int) -> list[Row]:
     return out
 
 
-def _identity(dim: int) -> list[Vec]:
-    return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-
-
 # ---------------------------------------------------------------------------
 # H-representation -> V-representation
 
@@ -373,7 +365,7 @@ def hrep_to_vrep(hrep: HRep) -> VRep:
         basis = nullspace_basis([row[:-1] for row in reduced])
     else:
         x0 = [Fraction(0)] * dim
-        basis = _identity(dim)
+        basis = unit_vectors(dim)
 
     s = len(basis)
     rows = [(1,) + (0,) * s]

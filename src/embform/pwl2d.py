@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log2
 
-from .encodings import Encoding, geometry
+from .encodings import Encoding, _reflected_sequence, geometry
 from .polyhedra import HRep, VRep, hrep_to_vrep, vrep_to_hrep
 from .sos2 import Formulation, LinearSystem, Row, SizeReport, substitute, y_names
 
@@ -139,13 +138,6 @@ def modified_union_jack(m: int) -> GridTriangulation:
     return GridTriangulation(m=m, triangles=tuple(triangles))
 
 
-def _reflected(bits: int) -> list[tuple[int, ...]]:
-    seq: list[tuple[int, ...]] = [()]
-    for _ in range(bits):
-        seq = [g + (0,) for g in seq] + [g + (1,) for g in reversed(seq)]
-    return seq
-
-
 def jack_encoding(triangulation: GridTriangulation) -> Encoding:
     """Slot-indexed binary code: one selector bit, then per-axis gray bits.
 
@@ -160,8 +152,7 @@ def jack_encoding(triangulation: GridTriangulation) -> Encoding:
         raise ValueError("jack encodings require m to be a power of two")
     if triangulation not in (union_jack(m), modified_union_jack(m) if m >= 2 else None):
         raise ValueError("unsupported triangulation for the jack encoding")
-    bits = int(log2(m))
-    codes = _reflected(bits)
+    codes = _reflected_sequence(m.bit_length() - 1)
     vectors = []
     for v in range(1, m + 1):
         for u in range(1, m + 1):

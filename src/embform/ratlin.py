@@ -39,16 +39,13 @@ def dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
-def vec_add(a: Sequence, b: Sequence) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a: Sequence, b: Sequence) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_scale(a: Sequence, s) -> Vec:
-    return tuple(x * s for x in a)
+def unit_vectors(dim: int) -> list[Vec]:
+    """The standard basis e^1, ..., e^dim as integer tuples."""
+    return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
 
 
 def is_zero(a: Sequence) -> bool:
@@ -58,19 +55,17 @@ def is_zero(a: Sequence) -> bool:
 def scale_primitive(a: Sequence) -> Vec:
     """Scale by a positive rational so entries are integers with gcd 1.
 
-    The orientation (overall sign) of the vector is preserved.
+    The orientation (overall sign) of the vector is preserved.  Integer
+    vectors take a gcd divide; anything else goes through Fractions.
     """
-    fracs = [Fraction(x) for x in a]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g == 0:
-        return tuple(0 for _ in ints)
-    return tuple(v // g for v in ints)
+    if not all(isinstance(x, int) for x in a):
+        fracs = [Fraction(x) for x in a]
+        den = 1
+        for f in fracs:
+            den = den * f.denominator // gcd(den, f.denominator)
+        a = [int(f * den) for f in fracs]
+    g = gcd(*a)
+    return tuple(a) if g < 2 else tuple(v // g for v in a)
 
 
 def sign_normalize(a: Sequence) -> Vec:
@@ -86,56 +81,66 @@ def canonical_normal(a: Sequence) -> Vec:
     return sign_normalize(scale_primitive(a))
 
 
-def _fraction_free_echelon(rows: list[list[int]]) -> int:
-    """In-place Bareiss-style elimination on integer rows; returns the rank.
+def _echelon(rows: list[list[int]], width: int) -> list[int]:
+    """In-place Bareiss elimination on integer rows; returns the pivot columns.
 
-    Integer inputs only; intermediate entries stay integral and bounded by
-    subdeterminants, which keeps growth manageable on the matrix sizes the
-    hull computations produce.
+    Fraction-free (Bareiss 1968): every division is exact, and entries
+    stay integral and bounded by subdeterminants.  Row i of the result
+    has its pivot at column ``pivots[i]`` and zeros to its left.
     """
-    if not rows:
-        return 0
-    n_rows, n_cols = len(rows), len(rows[0])
-    rank = 0
+    n_rows = len(rows)
+    pivots: list[int] = []
     prev_pivot = 1
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(rank, n_rows):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
+    for col in range(width):
+        if len(pivots) == n_rows:
+            break
+        rank = len(pivots)
+        pivot_row = next((r for r in range(rank, n_rows) if rows[r][col]), None)
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        piv = rows[rank][col]
+        row_p = rows[rank]
+        piv = row_p[col]
         # Bareiss step: every row below is rescaled, even with a zero
         # eliminating coefficient, or later exact divisions break.
         for r in range(rank + 1, n_rows):
-            factor = rows[r][col]
-            row_r, row_p = rows[r], rows[rank]
-            for c in range(col, n_cols):
+            row_r = rows[r]
+            factor = row_r[col]
+            for c in range(col, width):
                 row_r[c] = (piv * row_r[c] - factor * row_p[c]) // prev_pivot
         prev_pivot = piv
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+        pivots.append(col)
+    return pivots
 
 
-def _integer_rows(matrix: Iterable[Sequence]) -> list[list[int]]:
-    out = []
-    for row in matrix:
-        if all(isinstance(x, int) for x in row):
-            out.append(list(row))
-        else:
-            out.append(list(scale_primitive(row)) if any(row) else [0] * len(row))
-    return out
+def null_vector(rows: Sequence[Sequence[int]], width: int) -> Vec | None:
+    """The kernel direction of an integer matrix of rank ``width - 1``.
+
+    Returns the canonical (primitive, first nonzero entry positive)
+    integer vector spanning the 1-dimensional kernel, or None when the
+    rank is not ``width - 1``.  Bareiss elimination, then integer back
+    substitution: whenever a pivot does not divide its row's partial
+    sum, the partial solution is rescaled so it does.
+    """
+    work = [list(r) for r in rows]
+    pivots = _echelon(work, width)
+    if len(pivots) != width - 1:
+        return None
+    x = [0] * width
+    x[next(c for c in range(width) if c not in pivots)] = 1
+    for row, col in zip(reversed(work[: len(pivots)]), reversed(pivots)):
+        s = sum(row[c] * x[c] for c in range(col + 1, width))
+        if s:
+            g = gcd(s, row[col])
+            x = [v * (row[col] // g) for v in x]
+            x[col] = -s // g
+    return canonical_normal(x)
 
 
 def rank(matrix: Iterable[Sequence]) -> int:
     """Exact rank over the rationals via fraction-free elimination."""
-    rows = _integer_rows(matrix)
-    return _fraction_free_echelon(rows)
+    rows = [list(scale_primitive(row)) for row in matrix]
+    return len(_echelon(rows, len(rows[0]))) if rows else 0
 
 
 def rank_naive(matrix: Iterable[Sequence]) -> int:

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
+from operator import mul
 
 from .encodings import Encoding, EncodingGeometry, geometry, is_gray_code
 from .ratlin import (
@@ -28,10 +30,12 @@ from .ratlin import (
     canonical_normal,
     dot,
     is_zero,
+    null_vector,
     nullspace_basis,
     rank,
     rref,
     scale_primitive,
+    unit_vectors,
 )
 
 Row = tuple[tuple, Fraction]  # (coefficients, right-hand side); sense is <=
@@ -130,55 +134,6 @@ def _distinct_directions(diffs) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _null_vector(rows: list[tuple[int, ...]], width: int) -> tuple[int, ...] | None:
-    """The 1-dim kernel of an integer matrix expected to have rank width-1.
-
-    Returns None when the rank is not width-1.  Fraction-free elimination
-    followed by exact back substitution.
-    """
-    if width == 1:
-        return (1,) if not rows else None if any(r[0] for r in rows) else (1,)
-    if len(rows) == 2 and width == 3:
-        # cross product fast path, the hot case in encoding scans
-        (a1, a2, a3), (b1, b2, b3) = rows
-        n = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-        if n == (0, 0, 0):
-            return None
-        return canonical_normal(n)
-    work = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    prev = 1
-    for col in range(width):
-        pr = None
-        for i in range(r, len(work)):
-            if work[i][col] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        piv = work[r][col]
-        for i in range(r + 1, len(work)):
-            f = work[i][col]
-            row_i, row_r = work[i], work[r]
-            for c in range(col, width):
-                row_i[c] = (piv * row_i[c] - f * row_r[c]) // prev
-        prev = piv
-        pivots.append(col)
-        r += 1
-    if r != width - 1:
-        return None
-    free = next(c for c in range(width) if c not in pivots)
-    x = [Fraction(0)] * width
-    x[free] = Fraction(1)
-    for i in range(r - 1, -1, -1):
-        col = pivots[i]
-        s = sum(work[i][c] * x[c] for c in range(col + 1, width))
-        x[col] = Fraction(-s, work[i][col])
-    return canonical_normal(x)
-
-
 def spanned_hyperplanes(geom: EncodingGeometry) -> list[Vec]:
     """Normals of the hyperplanes of span(diffs) spanned by the differences.
 
@@ -186,34 +141,39 @@ def spanned_hyperplanes(geom: EncodingGeometry) -> list[Vec]:
     it, i.e. some (dim-1)-subset of the distinct directions has full rank
     dim-1.  Normals are primitive integer vectors in the span, first
     nonzero entry positive, each hyperplane listed once, sorted.
+
+    The hyperplanes are the rank-(dim-1) flats of the directions (Oxley,
+    *Matroid Theory*): once a subset yields a normal, every (dim-1)-subset
+    of the directions orthogonal to it is marked covered, by its rank in
+    the lexicographic order of subsets, and never eliminated again.
     """
     s = geom.dim_h
     if s == 0:
         return []
     dirs = _distinct_directions(geom.diffs)
     basis = geom.lh_basis
-    k = len(basis[0])
-    full_dim = s == k
-    if not full_dim:
-        # pair each direction against the basis: the hyperplane condition
-        # b = sum_a u_a basis_a, b . d = 0 becomes u . gram(d) = 0
-        grams = [tuple(dot(b, d) for b in basis) for d in dirs]
-    normals: set[Vec] = set()
-    n_dirs = len(dirs)
-    for subset in combinations(range(n_dirs), s - 1):
-        if full_dim:
-            u = _null_vector([dirs[i] for i in subset], s)
-            if u is not None:
-                normals.add(u)
-        else:
-            u = _null_vector([grams[i] for i in subset], s)
-            if u is None:
-                continue
-            b = [0] * k
-            for u_a, base_vec in zip(u, basis):
-                for j, x in enumerate(base_vec):
-                    b[j] += u_a * x
-            normals.add(canonical_normal(b))
+    full_dim = s == len(basis[0])
+    # below full dimension, pair each direction against the basis: the
+    # hyperplane condition b = sum_a u_a basis_a, b . d = 0 becomes u . gram(d) = 0
+    rows = dirs if full_dim else [tuple(dot(b, d) for b in basis) for d in dirs]
+    n_dirs, r = len(dirs), s - 1
+    # lexicographic rank of subset c: top - sum_i C(n_dirs - 1 - c_i, r - i)
+    top = comb(n_dirs, r) - 1
+    weight = [[comb(n_dirs - 1 - c, r - i) for c in range(n_dirs)] for i in range(r)]
+    covered = bytearray(top + 1)
+    normals: list[Vec] = []
+    for index, subset in enumerate(combinations(range(n_dirs), r)):
+        if covered[index]:
+            continue
+        u = null_vector([rows[i] for i in subset], s)
+        if u is None:
+            continue
+        if not full_dim:
+            u = canonical_normal([dot(col, u) for col in zip(*basis)])
+        normals.append(u)
+        flat = [i for i, d in enumerate(dirs) if not sum(map(mul, d, u))]
+        for face in combinations(flat, r):
+            covered[top - sum(map(list.__getitem__, weight, face))] = 1
     return sorted(normals)
 
 
@@ -263,7 +223,7 @@ def build_sos2(encoding: Encoding) -> tuple[Formulation, SizeReport]:
         (tuple([1] * nl + [0] * k), Fraction(1)),
     ]
     h1 = encoding[0]
-    for g in nullspace_basis(geom.diffs) if geom.diffs else _full_basis(k):
+    for g in nullspace_basis(geom.diffs) if geom.diffs else unit_vectors(k):
         equations.append((tuple([0] * nl + list(g)), Fraction(dot(g, h1))))
 
     inequalities: list[Row] = []
@@ -297,10 +257,6 @@ def build_sos2(encoding: Encoding) -> tuple[Formulation, SizeReport]:
         n=n,
     )
     return formulation, report
-
-
-def _full_basis(k: int) -> list[Vec]:
-    return [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
 
 
 def padberg(n: int) -> Formulation:
@@ -441,7 +397,7 @@ def face_check(encoding: Encoding, j_minus: set[int], j_plus: set[int]) -> FaceC
     if any(is_zero(r) for r in strict):
         return FaceCheck(face=False, dim=dim)
     eq_dirs = [padded[j - 1] for j in both if not is_zero(padded[j - 1])]
-    basis = nullspace_basis(eq_dirs) if eq_dirs else _full_basis(k)
+    basis = nullspace_basis(eq_dirs) if eq_dirs else unit_vectors(k)
     if not basis:
         return FaceCheck(face=not strict, dim=dim)
     reduced = [tuple(dot(b, c) for b in basis) for c in strict]

@@ -6,9 +6,11 @@ canonical facet sets modulo the equation rowspace.
 """
 
 from fractions import Fraction as F
+from itertools import combinations
 
-from embform.encodings import Encoding
+from embform.encodings import Encoding, EncodingGeometry
 from embform.polyhedra import VRep
+from embform.ratlin import canonical_normal, dot, is_zero
 from embform.sos2 import LinearSystem, lambda_names, y_names
 
 
@@ -180,3 +182,55 @@ def sos2_family(n: int) -> list[VRep]:
             verts.append(tuple(lam))
         family.append(VRep(vertices=tuple(sorted(verts))))
     return family
+
+
+def _kernel_direction(rows, width):
+    """Rational Gaussian elimination, then Fraction back substitution:
+    the 1-dim kernel of ``rows`` as a canonical normal, or None."""
+    work = [[F(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(width):
+        pr = next((i for i in range(len(pivots), len(work)) if work[i][col]), None)
+        if pr is None:
+            continue
+        r = len(pivots)
+        work[r], work[pr] = work[pr], work[r]
+        for i in range(r + 1, len(work)):
+            f = work[i][col] / work[r][col]
+            work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+    if len(pivots) != width - 1:
+        return None
+    x = [F(0)] * width
+    x[next(c for c in range(width) if c not in pivots)] = F(1)
+    for i in range(len(pivots) - 1, -1, -1):
+        col = pivots[i]
+        s = sum(work[i][c] * x[c] for c in range(col + 1, width))
+        x[col] = -s / work[i][col]
+    return canonical_normal(x)
+
+
+def brute_force_hyperplanes(geom: EncodingGeometry) -> list:
+    """Spanned hyperplanes by testing every (dim-1)-subset of directions.
+
+    The package's counter before flat skipping, kept as the reference: no
+    subset is skipped, elimination runs on Fractions, and every
+    independent subset's normal is collected into a set.
+    """
+    s = geom.dim_h
+    if s == 0:
+        return []
+    dirs = sorted({canonical_normal(d) for d in geom.diffs if not is_zero(d)})
+    basis = geom.lh_basis
+    k = len(basis[0])
+    # below full dimension, b = sum_a u_a basis_a and b . d = u . gram(d)
+    rows = dirs if s == k else [tuple(dot(b, d) for b in basis) for d in dirs]
+    normals = set()
+    for subset in combinations(range(len(dirs)), s - 1):
+        u = _kernel_direction([rows[i] for i in subset], s)
+        if u is None:
+            continue
+        if s < k:
+            u = canonical_normal([sum(u_a * base[j] for u_a, base in zip(u, basis)) for j in range(k)])
+        normals.add(u)
+    return sorted(normals)

@@ -204,3 +204,41 @@ def test_mmc_budget_exit(capsys):
 
 def test_missing_file_exit(capsys, tmp_path):
     assert main(["sos2", "verify", str(tmp_path / "nope.json")]) == 2
+
+
+def test_sos2_verify_wrong_field_types(tmp_path, capsys):
+    form, _ = build_sos2(gray(4))
+    good = json.loads(formulation_to_json(form).text)
+    for key, value in (("equations", "x"), ("inequalities", [[1, 2]]), ("var_names", 3)):
+        doc = dict(good, **{key: value})
+        path = tmp_path / f"bad_{key}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sos2", "verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:2:") and err.count("\n") == 1
+
+
+def test_internal_error_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
+    from embform import polyhedra
+
+    # an engine fault: the algebraic adjacency test contradicts the
+    # combinatorial one, which the DD core reports as a RuntimeError
+    monkeypatch.setattr(polyhedra, "_rank_limited", lambda rows, mask, target: -1)
+    path = tmp_path / "square.txt"
+    path.write_text("V 0 0\nV 1 0\nV 0 1\nV 1 1\n")
+    assert main(["hull", "--vrep", str(path), "--out", str(tmp_path / "out.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:1:RuntimeError: combinatorial and algebraic")
+    assert err.count("\n") == 1
+
+
+def test_sos2_build_huge_n_refused_fast(capsys):
+    import time
+
+    from embform.cli import SOS2_MAX_N
+
+    start = time.perf_counter()
+    assert main(["sos2", "build", "--n", str(10**12), "--encoding", "unary"]) == 3
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err.startswith("error:3:")
+    assert main(["sos2", "build", "--n", str(SOS2_MAX_N + 1), "--encoding", "gray"]) == 3

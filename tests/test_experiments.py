@@ -33,10 +33,6 @@ def test_scan_wide_widths_need_long_run():
         scan_binary_encodings(7, "sample", count=1, seed=0, long_run=True)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("EMBFORM_LONG_RUN"),
-    reason="k=5 sampling costs seconds per encoding; EMBFORM_LONG_RUN=1 enables",
-)
 def test_scan_k5_sample_long_run():
     result = scan_binary_encodings(5, "sample", count=2, seed=3, long_run=True)
     assert len(result.samples) == 2

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -244,3 +245,21 @@ def test_empty_system_export():
     system = LinearSystem(("x",), equations=(), inequalities=())
     model = export_lp(Formulation(system, ()))
     assert "Subject To" in model.text and "End" in model.text
+
+
+def test_json_readers_reject_non_integer_fields():
+    # a float bit used to be truncated silently: 0.9 read as 0
+    for text in ('{"vectors": [[0.9, 1], [1, 0]]}', '{"vectors": [["1", 0], [0, 0]]}'):
+        with pytest.raises(FormatError):
+            encoding_from_json(text)
+    good = {"m": 1, "triangles": [[[1, 1], [2, 1], [1, 2]], [[2, 2], [2, 1], [1, 2]]]}
+    assert triangulation_from_json(json.dumps(good)).m == 1
+    for bad in (dict(good, m=1.5), dict(good, m="1"), dict(good, triangles=[[[1.0, 1], [2, 1], [1, 2]]])):
+        with pytest.raises(FormatError):
+            triangulation_from_json(json.dumps(bad))
+    # a float coefficient used to become its binary expansion, 0.1 read as
+    # 3602879701896397/36028797018963968
+    doc = {"var_names": ["a"], "equations": [], "integer_vars": [],
+           "inequalities": [{"coeffs": [0.1], "rhs": "1"}]}
+    with pytest.raises(FormatError):
+        formulation_from_json(json.dumps(doc))
